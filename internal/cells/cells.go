@@ -163,7 +163,7 @@ func Decompose(solver *sat.Solver, preds []*predicate.P, opts Options) (Result, 
 	// Optimization 1: drop predicates that cannot intersect the query box.
 	kept := make([]int, 0, len(preds))
 	for i, p := range preds {
-		if base.Intersect(p.Box()).EmptyFor(schema) {
+		if !p.OverlapsBox(base) {
 			res.DroppedByPushdown++
 			continue
 		}

@@ -228,8 +228,7 @@ func (r *cellRunner) solvePair(tag string, objHi, objLo []float64, atLeastOne bo
 // Count bounds COUNT(*) over the missing rows satisfying where.
 func (e *Engine) Count(where *predicate.P) (Range, error) {
 	if e.useFast() {
-		r := e.fastCount(where)
-		return r, nil
+		return fastCount(e.disjointCells(-1, where)), nil
 	}
 	cp, err := e.decompose(where)
 	if err != nil {
@@ -249,8 +248,7 @@ func (e *Engine) Count(where *predicate.P) (Range, error) {
 // Sum bounds SUM(attr) over the missing rows satisfying where.
 func (e *Engine) Sum(attr string, where *predicate.P) (Range, error) {
 	if e.useFast() {
-		r := e.fastSum(attr, where)
-		return r, nil
+		return fastSum(e.disjointCells(e.snap.Schema().MustIndex(attr), where)), nil
 	}
 	cp, err := e.decompose(where)
 	if err != nil {
@@ -314,8 +312,7 @@ func (e *Engine) Sum(attr string, where *predicate.P) (Range, error) {
 // the region; MaybeEmpty reports whether zero rows is also possible.
 func (e *Engine) Avg(attr string, where *predicate.P) (Range, error) {
 	if e.useFast() {
-		r := e.fastAvg(attr, where)
-		return r, nil
+		return fastAvg(e.disjointCells(e.snap.Schema().MustIndex(attr), where)), nil
 	}
 	cp, err := e.decompose(where)
 	if err != nil {
@@ -463,8 +460,7 @@ func binarySearchAvg(lo, hi float64, ok func(float64) bool, searchSup bool) floa
 // maximum among instances with at least one row.
 func (e *Engine) Max(attr string, where *predicate.P) (Range, error) {
 	if e.useFast() {
-		r := e.fastMinMax(attr, where, true)
-		return r, nil
+		return fastMinMax(e.disjointCells(e.snap.Schema().MustIndex(attr), where), true), nil
 	}
 	return e.minMax(attr, where, true)
 }
@@ -472,8 +468,7 @@ func (e *Engine) Max(attr string, where *predicate.P) (Range, error) {
 // Min bounds MIN(attr), dual to Max.
 func (e *Engine) Min(attr string, where *predicate.P) (Range, error) {
 	if e.useFast() {
-		r := e.fastMinMax(attr, where, false)
-		return r, nil
+		return fastMinMax(e.disjointCells(e.snap.Schema().MustIndex(attr), where), false), nil
 	}
 	return e.minMax(attr, where, false)
 }

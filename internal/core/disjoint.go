@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"pcbound/internal/domain"
 	"pcbound/internal/predicate"
 )
 
@@ -19,31 +18,32 @@ type djCell struct {
 }
 
 // disjointCells extracts the per-PC cells overlapping the query. attrIdx < 0
-// means no aggregate attribute (COUNT).
+// means no aggregate attribute (COUNT). It is a linear scan that copies no
+// box: the per-constraint overlap and containment tests read the predicates
+// in place, and only the cells found are allocated.
 func (e *Engine) disjointCells(attrIdx int, where *predicate.P) []djCell {
-	schema := e.snap.Schema()
-	var whereBox domain.Box
-	if where != nil {
-		whereBox = where.Box()
-	}
-	out := make([]djCell, 0, e.snap.Len())
+	var out []djCell
 	for _, pc := range e.snap.pcs {
-		region := pc.Pred.Box()
-		if whereBox != nil {
-			region = region.Intersect(whereBox)
-		}
-		if region.EmptyFor(schema) {
+		if where == nil {
+			if pc.Pred.IsEmpty() {
+				continue
+			}
+		} else if !pc.Pred.Overlaps(where) {
 			continue
 		}
 		c := djCell{kLo: float64(pc.KLo), kHi: float64(pc.KHi)}
-		if whereBox != nil && !whereBox.ContainsBox(pc.Pred.Box()) {
+		if where != nil && !pc.Pred.Implies(where) {
 			// Rows forced by the lower bound may live outside the query
 			// region; only the upper bound survives (see decompose).
 			c.kLo = 0
 		}
 		if attrIdx >= 0 {
-			c.u = math.Min(pc.Values[attrIdx].Hi, region[attrIdx].Hi)
-			c.l = math.Max(pc.Values[attrIdx].Lo, region[attrIdx].Lo)
+			region := pc.Pred.IntervalAt(attrIdx)
+			if where != nil {
+				region = region.Intersect(where.IntervalAt(attrIdx))
+			}
+			c.u = math.Min(pc.Values[attrIdx].Hi, region.Hi)
+			c.l = math.Max(pc.Values[attrIdx].Lo, region.Lo)
 			if c.l > c.u {
 				// Value constraint conflicts with the region: no row can
 				// exist here.
@@ -55,8 +55,7 @@ func (e *Engine) disjointCells(attrIdx int, where *predicate.P) []djCell {
 	return out
 }
 
-func (e *Engine) fastCount(where *predicate.P) Range {
-	cs := e.disjointCells(-1, where)
+func fastCount(cs []djCell) Range {
 	r := Range{LoExact: true, HiExact: true, Cells: len(cs)}
 	for _, c := range cs {
 		r.Lo += c.kLo
@@ -65,9 +64,7 @@ func (e *Engine) fastCount(where *predicate.P) Range {
 	return r
 }
 
-func (e *Engine) fastSum(attr string, where *predicate.P) Range {
-	ai := e.snap.Schema().MustIndex(attr)
-	cs := e.disjointCells(ai, where)
+func fastSum(cs []djCell) Range {
 	r := Range{LoExact: true, HiExact: true, Cells: len(cs)}
 	for _, c := range cs {
 		if c.kHi == 0 {
@@ -89,9 +86,7 @@ func (e *Engine) fastSum(attr string, where *predicate.P) Range {
 	return r
 }
 
-func (e *Engine) fastAvg(attr string, where *predicate.P) Range {
-	ai := e.snap.Schema().MustIndex(attr)
-	cs := e.disjointCells(ai, where)
+func fastAvg(cs []djCell) Range {
 	usable := cs[:0:0]
 	for _, c := range cs {
 		if c.kHi >= 1 {
@@ -160,9 +155,7 @@ func (e *Engine) fastAvg(attr string, where *predicate.P) Range {
 	return r
 }
 
-func (e *Engine) fastMinMax(attr string, where *predicate.P, isMax bool) Range {
-	ai := e.snap.Schema().MustIndex(attr)
-	cs := e.disjointCells(ai, where)
+func fastMinMax(cs []djCell, isMax bool) Range {
 	usable := cs[:0:0]
 	for _, c := range cs {
 		if c.kHi >= 1 {

@@ -447,10 +447,6 @@ func (e *Engine) decomposeUncached(where *predicate.P, base domain.Box, baseKey 
 			cp.cellsOf[j] = append(cp.cellsOf[j], i)
 		}
 	}
-	var whereBox domain.Box
-	if where != nil {
-		whereBox = where.Box()
-	}
 	for j, pc := range e.snap.pcs {
 		if len(cp.cellsOf[j]) == 0 {
 			continue // dropped by pushdown or fully pruned
@@ -461,7 +457,7 @@ func (e *Engine) decomposeUncached(where *predicate.P, base domain.Box, baseKey 
 		// rows are only forced INTO the query region when ψ lies entirely
 		// inside it; otherwise they may live outside and the lower bound
 		// must be relaxed to keep the range sound.
-		if whereBox != nil && !whereBox.ContainsBox(pc.Pred.Box()) {
+		if where != nil && !pc.Pred.Implies(where) {
 			lo = 0
 		}
 		cp.kLo[j] = lo

@@ -624,7 +624,7 @@ func (s *Store) unchangedWithin(base domain.Box, from, to uint64) bool {
 	i := sort.Search(len(s.log), func(i int) bool { return s.log[i].epoch > from })
 	for ; i < len(s.log) && s.log[i].epoch <= to; i++ {
 		for _, b := range s.log[i].boxes {
-			if !base.Intersect(b).EmptyFor(s.schema) {
+			if base.OverlapsFor(b, s.schema) {
 				return false
 			}
 		}
@@ -834,17 +834,14 @@ func (sn *Snapshot) Validate(rows []domain.Row) []error {
 // Disjoint reports whether all predicates are pairwise non-overlapping on
 // the schema lattice. Disjoint snapshots qualify for the greedy fast path
 // (Section 4.2 "Faster Algorithm in Special Cases"). Computed lazily, once
-// per snapshot.
+// per snapshot: an O(n²·dims) pair loop that allocates nothing and stops at
+// the first overlapping pair.
 func (sn *Snapshot) Disjoint() bool {
 	sn.disjointOnce.Do(func() {
 		sn.disjoint = true
-		boxes := make([]domain.Box, len(sn.pcs))
-		for i, pc := range sn.pcs {
-			boxes[i] = pc.Pred.Box()
-		}
-		for i := 0; i < len(boxes) && sn.disjoint; i++ {
-			for j := i + 1; j < len(boxes); j++ {
-				if !boxes[i].Intersect(boxes[j]).EmptyFor(sn.schema) {
+		for i := 0; i < len(sn.pcs) && sn.disjoint; i++ {
+			for j := i + 1; j < len(sn.pcs); j++ {
+				if sn.pcs[i].Pred.Overlaps(sn.pcs[j].Pred) {
 					sn.disjoint = false
 					break
 				}

@@ -307,6 +307,22 @@ func (b Box) ContainsBox(other Box) bool {
 // Overlaps reports whether the two boxes share at least one point.
 func (b Box) Overlaps(other Box) bool { return !b.Intersect(other).Empty() }
 
+// OverlapsFor reports whether the two boxes share a point of the schema's
+// lattice, i.e. !b.Intersect(other).EmptyFor(s). It tests one dimension at a
+// time, stops at the first empty one and allocates nothing, so it is the
+// overlap test for per-constraint loops.
+func (b Box) OverlapsFor(other Box, s *Schema) bool {
+	if len(b) != len(other) {
+		panic("domain: box dimension mismatch")
+	}
+	for i := range b {
+		if b[i].Intersect(other[i]).EmptyFor(s.attrs[i].Kind) {
+			return false
+		}
+	}
+	return true
+}
+
 // Representative returns a point inside the box on the schema's lattice,
 // assuming the box is non-empty for the schema.
 func (b Box) Representative(s *Schema) Row {

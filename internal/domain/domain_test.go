@@ -2,6 +2,8 @@ package domain
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -95,6 +97,63 @@ func TestIntervalIntersectProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// quickBox is a Box over overlapsSchema for quick.Check. Endpoints mostly
+// come from a small pool, so shared endpoints, empty intervals, integer-free
+// intervals such as [1.2, 1.8] and infinite endpoints all occur often.
+type quickBox Box
+
+var overlapsSchema = NewSchema(
+	Attr{Name: "i", Kind: Integral, Domain: Full},
+	Attr{Name: "c", Kind: Continuous, Domain: Full},
+	Attr{Name: "j", Kind: Integral, Domain: NewInterval(0, 9)},
+)
+
+func (quickBox) Generate(r *rand.Rand, _ int) reflect.Value {
+	pool := []float64{math.Inf(-1), -2, -0.5, 0, 0.2, 0.8, 1, 1.2, 1.8, 2, 3.5, math.Inf(1)}
+	end := func() float64 {
+		if r.Intn(4) == 0 {
+			return r.NormFloat64() * 3
+		}
+		return pool[r.Intn(len(pool))]
+	}
+	b := make(quickBox, overlapsSchema.Len())
+	for i := range b {
+		lo, hi := end(), end()
+		if lo > hi && r.Intn(8) != 0 {
+			lo, hi = hi, lo // keep one interval in sixteen inverted (empty)
+		}
+		b[i] = Interval{Lo: lo, Hi: hi}
+	}
+	return reflect.ValueOf(b)
+}
+
+func TestBoxOverlapsForProperties(t *testing.T) {
+	// OverlapsFor is the lattice-aware emptiness of the intersection, and
+	// symmetric. Each kind of outcome must occur for the check to mean
+	// anything, including pairs that overlap over the reals only.
+	var overlapping, disjoint, realsOnly int
+	f := func(qa, qb quickBox) bool {
+		a, b := Box(qa), Box(qb)
+		want := !a.Intersect(b).EmptyFor(overlapsSchema)
+		switch {
+		case want:
+			overlapping++
+		case !a.Intersect(b).Empty():
+			realsOnly++
+		default:
+			disjoint++
+		}
+		return a.OverlapsFor(b, overlapsSchema) == want && b.OverlapsFor(a, overlapsSchema) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+	if overlapping < 100 || disjoint < 100 || realsOnly < 100 {
+		t.Errorf("generator too lopsided: %d overlapping, %d disjoint, %d overlapping over the reals only",
+			overlapping, disjoint, realsOnly)
 	}
 }
 
@@ -243,6 +302,16 @@ func TestBoxIntersectDimMismatchPanics(t *testing.T) {
 		}
 	}()
 	Box{Full}.Intersect(Box{Full, Full})
+}
+
+func TestBoxOverlapsForDimMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic on dimension mismatch")
+		}
+	}()
+	s := NewSchema(Attr{Name: "a", Domain: Full}, Attr{Name: "b", Domain: Full})
+	Box{Full, Full}.OverlapsFor(Box{Full}, s)
 }
 
 func TestCategories(t *testing.T) {

@@ -74,9 +74,19 @@ func (p *P) And(q *P) *P {
 // satisfies q).
 func (p *P) Implies(q *P) bool { return q.box.ContainsBox(p.box) }
 
-// Overlaps reports whether p ∧ q is satisfiable over the reals. For exact
-// lattice-aware satisfiability use internal/sat.
-func (p *P) Overlaps(q *P) bool { return !p.box.Intersect(q.box).EmptyFor(p.schema) }
+// Overlaps reports whether p ∧ q is satisfiable on the schema lattice: an
+// Integral attribute whose two ranges share no integer (e.g. [0, 1.8] and
+// [1.2, 4]) makes them disjoint. Both predicates are boxes, so this
+// per-dimension test is exact. It allocates nothing.
+func (p *P) Overlaps(q *P) bool { return p.box.OverlapsFor(q.box, p.schema) }
+
+// OverlapsBox reports whether p shares a lattice point with the box b (over
+// p's schema), without copying either box.
+func (p *P) OverlapsBox(b domain.Box) bool { return p.box.OverlapsFor(b, p.schema) }
+
+// IntervalAt returns the constraint interval on the i-th schema attribute,
+// without copying the box.
+func (p *P) IntervalAt(i int) domain.Interval { return p.box[i] }
 
 // Equal reports whether two predicates denote the same box.
 func (p *P) Equal(q *P) bool {

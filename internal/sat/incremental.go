@@ -110,7 +110,7 @@ func (inc *Incremental) carve(box domain.Box) []domain.Box {
 	schema := inc.solver.Schema()
 	out := inc.rem[:0:0]
 	for _, r := range inc.rem {
-		if r.Intersect(box).EmptyFor(schema) {
+		if !r.OverlapsFor(box, schema) {
 			out = append(out, r)
 			continue
 		}

@@ -296,7 +296,7 @@ func (s *Store) newEntry(c Constraint) entry {
 	return entry{
 		c:         c,
 		predEmpty: c.Pred.EmptyFor(s.schema),
-		grounded:  !c.Pred.Intersect(s.full).EmptyFor(s.schema),
+		grounded:  c.Pred.OverlapsFor(s.full, s.schema),
 	}
 }
 
@@ -308,7 +308,7 @@ func (s *Store) overlapEntries(a, b entry) bool {
 	if a.predEmpty || b.predEmpty {
 		return false
 	}
-	return !a.c.Pred.Intersect(b.c.Pred).EmptyFor(s.schema)
+	return a.c.Pred.OverlapsFor(b.c.Pred, s.schema)
 }
 
 // rebuildSketchLocked recomputes the whole-store sketch from the entries,
