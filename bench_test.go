@@ -599,19 +599,20 @@ func intraQueryStore() (*core.Store, core.Query) {
 // BenchmarkIntraQuery measures one MILP-heavy query bounded (a) on the
 // sequential reference path (cells solved one at a time on the calling
 // goroutine) and (b) with its per-cell solves fanned out over the shared
-// cost-ordered scheduler. Both paths run with the cell-bound cache disabled
-// so the timing isolates scheduling, not memoization; the cached
-// sub-benchmark then shows the warm cell-cache path skipping the MILPs
-// entirely. The speedup sub-benchmark verifies the two Ranges are
-// bit-identical every iteration and reports the wall-clock ratio — the
-// intra-query parallel speedup, ~1x on a single-core host and rising with
-// cores (the per-cell tasks are independent MILPs).
+// cost-ordered scheduler. Both paths run with the decomposition cache, and
+// so its solve memo, disabled so the timing isolates scheduling, not
+// memoization; the cellcache-warm sub-benchmark then shows a warm cached
+// decomposition's memo skipping the MILPs entirely. The speedup
+// sub-benchmark verifies the two Ranges are bit-identical every iteration
+// and reports the wall-clock ratio — the intra-query parallel speedup, ~1x
+// on a single-core host and rising with cores (the per-cell tasks are
+// independent MILPs).
 func BenchmarkIntraQuery(b *testing.B) {
 	par := runtime.GOMAXPROCS(0)
 	if par < 4 {
 		par = 4
 	}
-	seqOpts := core.Options{SequentialCells: true, DisableCellCache: true, DisableFastPath: true}
+	seqOpts := core.Options{SequentialCells: true, DisableDecompCache: true, DisableFastPath: true}
 
 	b.Run("seq", func(b *testing.B) {
 		b.ReportAllocs()
@@ -629,7 +630,7 @@ func BenchmarkIntraQuery(b *testing.B) {
 		sch := sched.New(par)
 		defer sch.Close()
 		engine := core.NewEngine(store, nil, core.Options{
-			Scheduler: sch, DisableCellCache: true, DisableFastPath: true,
+			Scheduler: sch, DisableDecompCache: true, DisableFastPath: true,
 		})
 		for i := 0; i < b.N; i++ {
 			if _, err := engine.Bound(q); err != nil {
@@ -642,7 +643,7 @@ func BenchmarkIntraQuery(b *testing.B) {
 		store, q := intraQueryStore()
 		engine := core.NewEngine(store, nil, core.Options{DisableFastPath: true})
 		if _, err := engine.Bound(q); err != nil {
-			b.Fatal(err) // warm the cell cache before timing
+			b.Fatal(err) // warm the solve memo before timing
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -657,7 +658,7 @@ func BenchmarkIntraQuery(b *testing.B) {
 		sch := sched.New(par)
 		defer sch.Close()
 		parEngine := core.NewEngine(store, nil, core.Options{
-			Scheduler: sch, DisableCellCache: true, DisableFastPath: true,
+			Scheduler: sch, DisableDecompCache: true, DisableFastPath: true,
 		})
 		var seqTotal, parTotal time.Duration
 		for i := 0; i < b.N; i++ {

@@ -108,8 +108,8 @@ wait_healthy "$SAT_BASE" "$SAT_PID" "$SAT_LOG"
 # ground truth that the summary answer came from the degrade path, not from
 # a normally admitted auto-tier request.
 # Every query gets its own price window so neither the decomposition cache
-# nor the cell-bound cache can collapse the batch to microseconds — the
-# slot stays held long enough for both probes.
+# nor its solve memo can collapse the batch to microseconds — the slot
+# stays held long enough for both probes.
 SAT_BATCH=$(jq -nc '{queries: [range(1500) | {agg: "SUM", attr: "price", where: {price: [(. * 0.1), (. * 0.1 + 53.7)], utc: [(. % 12), ((. % 12) + 6)]}}], parallelism: 1}')
 SAT_OK=""
 for attempt in $(seq 10); do

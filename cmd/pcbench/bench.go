@@ -127,15 +127,17 @@ func runBenchSuite(suite, jsonPath string, sweep bool) int {
 }
 
 // runIntraQuerySuite benchmarks one MILP-heavy query on the sequential
-// reference path, on the shared scheduler, and on a warm cell-bound cache,
-// verifying along the way that all three produce bit-identical Ranges.
+// reference path and on the shared scheduler, both cold (no decomposition
+// cache, so no solve memo), and warm from the cached decomposition's solve
+// memo, verifying along the way that all three produce bit-identical Ranges.
+// The warm row keeps its cellcache-warm name so baselines line up.
 func runIntraQuerySuite() (*BenchReport, error) {
 	store, q := experiments.IntraQueryScenario()
 	par := runtime.GOMAXPROCS(0)
-	seqOpts := core.Options{SequentialCells: true, DisableCellCache: true, DisableFastPath: true}
+	seqOpts := core.Options{SequentialCells: true, DisableDecompCache: true, DisableFastPath: true}
 	sch := sched.New(par)
 	defer sch.Close()
-	schedOpts := core.Options{Scheduler: sch, DisableCellCache: true, DisableFastPath: true}
+	schedOpts := core.Options{Scheduler: sch, DisableDecompCache: true, DisableFastPath: true}
 	cacheOpts := core.Options{Scheduler: sch, DisableFastPath: true}
 
 	// Bit-identity first: the benchmark numbers are only comparable if the
@@ -144,7 +146,7 @@ func runIntraQuerySuite() (*BenchReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	for name, opts := range map[string]core.Options{"scheduler": schedOpts, "cell-cache": cacheOpts} {
+	for name, opts := range map[string]core.Options{"scheduler": schedOpts, "solve-memo": cacheOpts} {
 		got, err := core.NewEngine(store, nil, opts).Bound(q)
 		if err != nil {
 			return nil, err
@@ -221,10 +223,7 @@ func runTieredSuite() (*BenchReport, error) {
 	ov := core.AttachSummary(store)
 	defer ov.Detach()
 
-	coldOpts := core.Options{
-		SequentialCells: true, DisableCellCache: true,
-		DisableDecompCache: true, DisableFastPath: true,
-	}
+	coldOpts := core.Options{SequentialCells: true, DisableDecompCache: true, DisableFastPath: true}
 	exact, err := core.NewEngine(store, nil, coldOpts).Bound(q)
 	if err != nil {
 		return nil, err

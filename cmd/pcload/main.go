@@ -179,7 +179,8 @@ func main() {
 
 // reportServerMetrics scrapes /metrics after the load phase and surfaces the
 // server-side intra-query picture: the shared scheduler's queue depth and
-// task counters, and the cell-bound cache hit rate. Absent counters (an
+// task counters, and the solve-memo hit rate (the pcserved_cellcache_*
+// counters). Absent counters (an
 // older server) are skipped rather than failing the run — the load result
 // stands on its own.
 func reportServerMetrics(client *http.Client, base string, w io.Writer) {
@@ -212,7 +213,7 @@ func reportServerMetrics(client *http.Client, base string, w io.Writer) {
 	hits, hok := vals["pcserved_cellcache_hits_total"]
 	misses, mok := vals["pcserved_cellcache_misses_total"]
 	if hok && mok && hits+misses > 0 {
-		fmt.Fprintf(w, "pcload: server cell cache: %.1f%% hit rate (%.0f hits / %.0f misses)\n",
+		fmt.Fprintf(w, "pcload: server solve memo: %.1f%% hit rate (%.0f hits / %.0f misses)\n",
 			100*hits/(hits+misses), hits, misses)
 	}
 }

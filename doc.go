@@ -30,14 +30,13 @@
 // every engine pointed at it, so one MILP-heavy query fans out across cores
 // instead of pegging one. Results land in index-addressed slots and reduce
 // in fixed cell order, making ranges bit-identical to the sequential path
-// (core.Options.SequentialCells) at any parallelism. On top of it, an
-// epoch-scoped per-cell bound cache memoizes cell-solve results under
-// content signatures (cell signature + aggregate + attribute + solver
-// options) with the same epoch-interval validity and scoped invalidation
-// as the decomposition cache — repeated and overlapping traffic, and
-// group-by groups sharing cell structure, skip LP/MILP entirely
-// (see BenchmarkIntraQuery and the committed BENCH_PR5.json; reproduce
-// with `go run ./cmd/pcbench -bench intraquery -json BENCH_PR5.json`).
+// (core.Options.SequentialCells) at any parallelism. Per-cell reachability
+// needs no solve when no frequency lower bound is active (a cell can host a
+// row exactly when every active constraint allows one), and every other
+// solve over a cached decomposition is memoized in its cache entry, sharing
+// the entry's epoch-interval validity and scoped invalidation — repeated
+// traffic skips LP/MILP entirely (see BenchmarkIntraQuery; reproduce the
+// suite with `go run ./cmd/pcbench -bench intraquery -json out.json`).
 //
 // Above the exact solver sits a tiered-precision summary layer
 // (internal/summary, attached by core.AttachSummary): per-constraint

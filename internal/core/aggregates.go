@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"pcbound/internal/domain"
 	"pcbound/internal/milp"
 	"pcbound/internal/predicate"
 	"pcbound/internal/sched"
@@ -16,8 +15,8 @@ import (
 // *cell solve task*, not a query: per-cell feasibility checks, the two
 // directional MILPs, AVG's bisection searches, and MIN/MAX threshold probes
 // are routed through a cellRunner, which dispatches them on the engine's
-// shared cost-ordered scheduler (internal/sched) and consults the
-// epoch-scoped cell-bound cache (cellcache.go) first. Every task writes an
+// shared cost-ordered scheduler (internal/sched) and consults the solve memo
+// of the cached decomposition (epochcache.go) first. Every task writes an
 // index-addressed slot and every reduction below runs in fixed cell order,
 // so results are bit-identical to the sequential path at any parallelism —
 // the differential tests in intraquery_test.go pin exactly that.
@@ -34,17 +33,39 @@ func (e *Engine) useFast() bool {
 }
 
 // cellRunner coordinates one query's cell-level solve tasks: scheduling,
-// caching, and caller-side deterministic reduction. It is cheap to build
+// memoization, and caller-side deterministic reduction. It is cheap to build
 // (no allocation beyond the struct) and lives for one aggregate call.
 type cellRunner struct {
 	e     *Engine
 	cp    *cellProblem
+	memo  *solveMemo // nil: nothing is memoized
 	sc    *solveCtx
 	mopts milp.Options
 }
 
-func (e *Engine) newRunner(cp *cellProblem, sc *solveCtx) cellRunner {
-	return cellRunner{e: e, cp: cp, sc: sc, mopts: e.milpOpts()}
+func (e *Engine) newRunner(cp *cellProblem, memo *solveMemo, sc *solveCtx) cellRunner {
+	return cellRunner{e: e, cp: cp, memo: memo, sc: sc, mopts: e.milpOpts()}
+}
+
+// lookup consults the solve memo, counting the lookup on the cache.
+func (r *cellRunner) lookup(k memoKey) (solveResult, bool) {
+	if r.memo == nil {
+		return solveResult{}, false
+	}
+	v, ok := r.memo.get(k)
+	if ok {
+		r.e.cache.memoHits.Add(1)
+	} else {
+		r.e.cache.memoMisses.Add(1)
+	}
+	return v, ok
+}
+
+// remember stores a solved task's result in the solve memo.
+func (r *cellRunner) remember(k memoKey, v solveResult) {
+	if r.memo != nil {
+		r.memo.put(k, v)
+	}
 }
 
 // seq reports whether tasks run inline on the caller (the sequential
@@ -82,52 +103,37 @@ func (cp *cellProblem) problemCost() float64 {
 	return float64(1 + len(cp.cells) + len(cp.consIdx))
 }
 
-// cellFeas fills out[i], for every i in idx, with "cell i can host at least
-// one row" (feasible with minOne=i): the skew-relevant per-cell MILP. Cached
-// results are used first; misses run as scheduled tasks. out is
+// cellFeas fills out[i], for every i in idx, with "cell i may host at least
+// one row". Without an active frequency lower bound the LP has only ≤ rows,
+// so the single row x = e_i is feasible exactly when every active constraint
+// allows one, capHi[i] >= 1, and no solve is needed; the reference path
+// still solves, as a differential oracle. Coupled problems solve one MILP
+// per cell (feasible with minOne=i) as memoized, scheduled tasks. out is
 // index-addressed, so callers reduce deterministically whatever the
 // completion order.
 func (r *cellRunner) cellFeas(idx []int, out []bool) {
-	if len(idx) == 0 {
+	e, cp := r.e, r.cp
+	if !cp.coupled && !e.opts.Reference {
+		for _, i := range idx {
+			out[i] = cp.capHi[i] >= 1
+		}
 		return
 	}
-	e, cp := r.e, r.cp
-	cc := e.cellCache
 	miss := idx
-	var keys []string
-	var bases []domain.Box
-	if cc != nil {
+	if r.memo != nil {
 		miss = make([]int, 0, len(idx))
-		keys = make([]string, len(cp.cells))
-		bases = make([]domain.Box, len(cp.cells))
 		for _, i := range idx {
-			key, base := cp.cellFeasKey(i, e.optsSig)
-			if v, ok := cc.get(key, e.snap.epoch); ok {
-				out[i] = v.(bool)
+			if v, ok := r.lookup(memoKey{task: memoReach, cell: i}); ok {
+				out[i] = v.feasible
 				continue
 			}
-			keys[i], bases[i] = key, base
 			miss = append(miss, i)
 		}
 	}
 	if len(miss) == 0 {
 		return
 	}
-	// decided tracks budget-independence per solve: an undecided verdict (a
-	// false from node-budget exhaustion) reflects the whole problem, so it
-	// may ride a problem-scoped key but must never enter a cell-scoped key
-	// another problem could hit (the verdicts could legitimately differ).
-	var decided []bool
-	if cc != nil {
-		decided = make([]bool, len(cp.cells))
-	}
-	run := func(sc *solveCtx, i int) {
-		ok, dec := cp.feasibleStatus(sc, nil, false, i, r.mopts)
-		out[i] = ok
-		if decided != nil {
-			decided[i] = dec
-		}
-	}
+	run := func(sc *solveCtx, i int) { out[i] = cp.feasible(sc, nil, false, i, r.mopts) }
 	if r.seq() || len(miss) == 1 {
 		for _, i := range miss {
 			run(r.sc, i)
@@ -140,59 +146,32 @@ func (r *cellRunner) cellFeas(idx []int, out []bool) {
 		}
 		g.Wait(r.callerWS())
 	}
-	if cc != nil {
-		for _, i := range miss {
-			if cp.coupled || decided[i] {
-				cc.put(keys[i], bases[i], out[i], e.snap.epoch)
-			}
-		}
+	for _, i := range miss {
+		r.remember(memoKey{task: memoReach, cell: i}, solveResult{feasible: out[i]})
 	}
 }
 
 // probFeas is the whole-problem feasibility check (can any allocation
-// satisfy the constraints, optionally with at least one row), cached
-// problem-scoped.
+// satisfy the constraints, optionally with at least one row), memoized.
 func (r *cellRunner) probFeas(atLeastOne bool) bool {
-	e, cp := r.e, r.cp
-	cc := e.cellCache
-	var key string
-	var base domain.Box
-	if cc != nil {
-		tag := "pf0"
-		if atLeastOne {
-			tag = "pf1"
-		}
-		key, base = cp.problemKey(tag, e.optsSig)
-		if v, ok := cc.get(key, e.snap.epoch); ok {
-			return v.(bool)
-		}
+	k := memoKey{task: memoFeasible, up: atLeastOne}
+	if v, ok := r.lookup(k); ok {
+		return v.feasible
 	}
-	ok := cp.feasible(r.sc, nil, atLeastOne, -1, r.mopts)
-	if cc != nil {
-		cc.put(key, base, ok, e.snap.epoch)
-	}
+	ok := r.cp.feasible(r.sc, nil, atLeastOne, -1, r.mopts)
+	r.remember(k, solveResult{feasible: ok})
 	return ok
 }
 
 // solvePair runs the two directional whole-problem MILPs (maximize objHi,
-// minimize objLo) as concurrent tasks, cached problem-scoped under tag
-// (which must encode the aggregate and attribute shaping the objectives).
-func (r *cellRunner) solvePair(tag string, objHi, objLo []float64, atLeastOne bool) (up, lo solveResult) {
+// minimize objLo) as concurrent tasks, memoized under task (memoCount or
+// memoSum) and the attribute shaping the objectives.
+func (r *cellRunner) solvePair(task memoTask, attr string, objHi, objLo []float64, atLeastOne bool) (up, lo solveResult) {
 	e, cp := r.e, r.cp
-	cc := e.cellCache
-	var hiKey, loKey string
-	var base domain.Box
-	haveHi, haveLo := false, false
-	if cc != nil {
-		hiKey, base = cp.problemKey("d+"+tag, e.optsSig)
-		loKey, _ = cp.problemKey("d-"+tag, e.optsSig)
-		if v, ok := cc.get(hiKey, e.snap.epoch); ok {
-			up, haveHi = v.(solveResult), true
-		}
-		if v, ok := cc.get(loKey, e.snap.epoch); ok {
-			lo, haveLo = v.(solveResult), true
-		}
-	}
+	hiKey := memoKey{task: task, attr: attr, up: true}
+	loKey := memoKey{task: task, attr: attr}
+	up, haveHi := r.lookup(hiKey)
+	lo, haveLo := r.lookup(loKey)
 	switch {
 	case haveHi && haveLo:
 		return up, lo
@@ -214,13 +193,11 @@ func (r *cellRunner) solvePair(tag string, objHi, objLo []float64, atLeastOne bo
 		})
 		g.Wait(r.callerWS())
 	}
-	if cc != nil {
-		if !haveHi {
-			cc.put(hiKey, base, up, e.snap.epoch)
-		}
-		if !haveLo {
-			cc.put(loKey, base, lo, e.snap.epoch)
-		}
+	if !haveHi {
+		r.remember(hiKey, up)
+	}
+	if !haveLo {
+		r.remember(loKey, lo)
 	}
 	return up, lo
 }
@@ -230,7 +207,7 @@ func (e *Engine) Count(where *predicate.P) (Range, error) {
 	if e.useFast() {
 		return fastCount(e.disjointCells(-1, where)), nil
 	}
-	cp, err := e.decompose(where)
+	cp, memo, err := e.decompose(where)
 	if err != nil {
 		return Range{}, err
 	}
@@ -239,9 +216,9 @@ func (e *Engine) Count(where *predicate.P) (Range, error) {
 	}
 	sc := e.acquireCtx()
 	defer e.releaseCtx(sc)
-	rn := e.newRunner(cp, sc)
+	rn := e.newRunner(cp, memo, sc)
 	obj := cp.ones()
-	up, lo := rn.solvePair("COUNT", obj, obj, false)
+	up, lo := rn.solvePair(memoCount, "", obj, obj, false)
 	return cp.newRange(lo, up), nil
 }
 
@@ -250,7 +227,7 @@ func (e *Engine) Sum(attr string, where *predicate.P) (Range, error) {
 	if e.useFast() {
 		return fastSum(e.disjointCells(e.snap.Schema().MustIndex(attr), where)), nil
 	}
-	cp, err := e.decompose(where)
+	cp, memo, err := e.decompose(where)
 	if err != nil {
 		return Range{}, err
 	}
@@ -259,7 +236,7 @@ func (e *Engine) Sum(attr string, where *predicate.P) (Range, error) {
 	}
 	sc := e.acquireCtx()
 	defer e.releaseCtx(sc)
-	rn := e.newRunner(cp, sc)
+	rn := e.newRunner(cp, memo, sc)
 	ai := e.snap.Schema().MustIndex(attr)
 	u := cp.upperVec(ai)
 	l := cp.lowerVec(ai)
@@ -293,7 +270,7 @@ func (e *Engine) Sum(attr string, where *predicate.P) (Range, error) {
 		}
 	}
 
-	up, lo := rn.solvePair("SUM:"+attr, u, l, false)
+	up, lo := rn.solvePair(memoSum, attr, u, l, false)
 	r := cp.newRange(lo, up)
 	if hiInf {
 		r.Hi = math.Inf(1)
@@ -314,7 +291,7 @@ func (e *Engine) Avg(attr string, where *predicate.P) (Range, error) {
 	if e.useFast() {
 		return fastAvg(e.disjointCells(e.snap.Schema().MustIndex(attr), where)), nil
 	}
-	cp, err := e.decompose(where)
+	cp, memo, err := e.decompose(where)
 	if err != nil {
 		return Range{}, err
 	}
@@ -325,7 +302,7 @@ func (e *Engine) Avg(attr string, where *predicate.P) (Range, error) {
 	}
 	sc := e.acquireCtx()
 	defer e.releaseCtx(sc)
-	rn := e.newRunner(cp, sc)
+	rn := e.newRunner(cp, memo, sc)
 	if !rn.probFeas(true) {
 		r := emptyRange()
 		r.SATChecks = cp.satChecks
@@ -352,24 +329,15 @@ func (e *Engine) Avg(attr string, where *predicate.P) (Range, error) {
 
 // avgEndpoints runs the two AVG bisection searches — each a sequential
 // chain of parametric MILP probes, but independent of the other — as two
-// concurrent tasks, cached problem-scoped per attribute.
+// concurrent tasks, memoized per attribute.
 func (r *cellRunner) avgEndpoints(attr string, u, l []float64, lo0, hi0 float64) (hiE, loE float64) {
 	e, cp := r.e, r.cp
 	mopts := r.mopts
-	cc := e.cellCache
-	var hiKey, loKey string
-	var base domain.Box
-	haveHi, haveLo := false, false
-	if cc != nil {
-		hiKey, base = cp.problemKey("a+"+attr, e.optsSig)
-		loKey, _ = cp.problemKey("a-"+attr, e.optsSig)
-		if v, ok := cc.get(hiKey, e.snap.epoch); ok {
-			hiE, haveHi = v.(float64), true
-		}
-		if v, ok := cc.get(loKey, e.snap.epoch); ok {
-			loE, haveLo = v.(float64), true
-		}
-	}
+	hiKey := memoKey{task: memoAvg, attr: attr, up: true}
+	loKey := memoKey{task: memoAvg, attr: attr}
+	hiV, haveHi := r.lookup(hiKey)
+	loV, haveLo := r.lookup(loKey)
+	hiE, loE = hiV.bound, loV.bound
 	// Each search owns its objective buffer: a probe overwrites every entry
 	// and cp.solve copies the objective into the LP, so per-search buffers
 	// are bit-identical to the old shared one — and safe to run concurrently.
@@ -414,13 +382,11 @@ func (r *cellRunner) avgEndpoints(attr string, u, l []float64, lo0, hi0 float64)
 		g.Submit(cost, func(ws *sched.Workspace) { loE = runLo(taskCtx(ws)) })
 		g.Wait(r.callerWS())
 	}
-	if cc != nil {
-		if !haveHi {
-			cc.put(hiKey, base, hiE, e.snap.epoch)
-		}
-		if !haveLo {
-			cc.put(loKey, base, loE, e.snap.epoch)
-		}
+	if !haveHi {
+		r.remember(hiKey, solveResult{bound: hiE})
+	}
+	if !haveLo {
+		r.remember(loKey, solveResult{bound: loE})
 	}
 	return hiE, loE
 }
@@ -474,7 +440,7 @@ func (e *Engine) Min(attr string, where *predicate.P) (Range, error) {
 }
 
 func (e *Engine) minMax(attr string, where *predicate.P, isMax bool) (Range, error) {
-	cp, err := e.decompose(where)
+	cp, memo, err := e.decompose(where)
 	if err != nil {
 		return Range{}, err
 	}
@@ -485,7 +451,7 @@ func (e *Engine) minMax(attr string, where *predicate.P, isMax bool) (Range, err
 	}
 	sc := e.acquireCtx()
 	defer e.releaseCtx(sc)
-	rn := e.newRunner(cp, sc)
+	rn := e.newRunner(cp, memo, sc)
 	ai := e.snap.Schema().MustIndex(attr)
 	u := cp.upperVec(ai)
 	l := cp.lowerVec(ai)
@@ -517,7 +483,7 @@ func (e *Engine) minMax(attr string, where *predicate.P, isMax bool) (Range, err
 		}
 		// Lo: minimize the largest lower-value among used cells. Search
 		// thresholds ascending; the first feasible restriction wins.
-		r.Lo = rn.thresholdSearch("t+"+attr, l, true)
+		r.Lo = rn.thresholdSearch(attr, l, true)
 	} else {
 		r.Lo = math.Inf(1)
 		for i := range cp.cells {
@@ -525,7 +491,7 @@ func (e *Engine) minMax(attr string, where *predicate.P, isMax bool) (Range, err
 				r.Lo = math.Min(r.Lo, l[i])
 			}
 		}
-		r.Hi = rn.thresholdSearch("t-"+attr, u, false)
+		r.Hi = rn.thresholdSearch(attr, u, false)
 	}
 	return r, nil
 }
@@ -539,23 +505,15 @@ func (e *Engine) minMax(attr string, where *predicate.P, isMax bool) (Range, err
 // the scheduler width: every probe is an independent restricted MILP, and
 // the answer — the first feasible threshold in order — is identical
 // whichever probes actually ran, so results stay bit-identical while at
-// most one wave of extra probes is spent. The final threshold is cached
-// problem-scoped under tag (direction + attribute).
-func (r *cellRunner) thresholdSearch(tag string, vals []float64, ascending bool) float64 {
-	e, cp := r.e, r.cp
-	cc := e.cellCache
-	var key string
-	var base domain.Box
-	if cc != nil {
-		key, base = cp.problemKey(tag, e.optsSig)
-		if v, ok := cc.get(key, e.snap.epoch); ok {
-			return v.(float64)
-		}
+// most one wave of extra probes is spent. The final threshold is memoized
+// per attribute and direction.
+func (r *cellRunner) thresholdSearch(attr string, vals []float64, ascending bool) float64 {
+	k := memoKey{task: memoThreshold, attr: attr, up: ascending}
+	if v, ok := r.lookup(k); ok {
+		return v.bound
 	}
 	t := r.thresholdSearchUncached(vals, ascending)
-	if cc != nil {
-		cc.put(key, base, t, e.snap.epoch)
-	}
+	r.remember(k, solveResult{bound: t})
 	return t
 }
 

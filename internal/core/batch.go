@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 
-	"pcbound/internal/domain"
 	"pcbound/internal/parallel"
 )
 
@@ -89,13 +88,13 @@ func (e *Engine) BoundBatchCtx(ctx context.Context, queries []Query, opts BatchO
 }
 
 // workerClone returns an engine view for one batch worker: same snapshot,
-// options, decomposition cache, cell-bound cache, scheduler and
-// solve-context pool, but a private SAT-solver clone so per-worker solver
-// work is attributable without contending on shared counters.
+// options, decomposition cache, scheduler and solve-context pool, but a
+// private SAT-solver clone so per-worker solver work is attributable without
+// contending on shared counters.
 func (e *Engine) workerClone() *Engine {
 	return &Engine{
 		snap: e.snap, solver: e.solver.Clone(), opts: e.opts, cache: e.cache,
-		cellCache: e.cellCache, sched: e.sched, optsSig: e.optsSig, ctxPool: e.ctxPool,
+		sched: e.sched, ctxPool: e.ctxPool,
 	}
 }
 
@@ -128,47 +127,14 @@ type CacheStats struct {
 	// its own epoch interval for snapshot-pinned engines — so concurrent
 	// lookups may count the same entry more than once.
 	Invalidated int64
+	// MemoHits and MemoMisses count lookups in the cached decompositions'
+	// solve memos: directional solves, AVG and threshold searches, and
+	// reachability in problems with an active frequency lower bound.
+	MemoHits, MemoMisses int64
 }
 
-// CacheStats returns the decomposition cache's counters.
+// CacheStats returns the decomposition cache's counters, solve memo
+// included.
 func (e *Engine) CacheStats() CacheStats {
-	if e.cache == nil {
-		return CacheStats{}
-	}
-	return e.cache.ec.stats()
-}
-
-// CellCacheStats returns the per-cell bound cache's counters (see
-// cellcache.go). Like the decomposition cache, it is shared across Rebind
-// generations, so the counters cover the whole engine lineage.
-func (e *Engine) CellCacheStats() CacheStats {
-	if e.cellCache == nil {
-		return CacheStats{}
-	}
-	return e.cellCache.ec.stats()
-}
-
-// decompCache memoizes cell decompositions by pushdown-normalized region
-// key, on the shared epoch-interval mechanism (epochcache.go): values are
-// immutable *cellProblems shared by all readers and all engines in a Rebind
-// lineage, each entry's base box is the pushdown-normalized query region,
-// and validity extends across mutations that touch no predicate box
-// overlapping it — a fresh decomposition would then see the identical kept
-// predicate sequence and produce bit-identical cells.
-type decompCache struct{ ec *epochCache }
-
-func newDecompCache(max int, store *Store) *decompCache {
-	return &decompCache{ec: newEpochCache(max, store)}
-}
-
-func (c *decompCache) get(key string, epoch uint64) (*cellProblem, bool) {
-	v, ok := c.ec.get(key, epoch)
-	if !ok {
-		return nil, false
-	}
-	return v.(*cellProblem), true
-}
-
-func (c *decompCache) put(key string, base domain.Box, cp *cellProblem, epoch uint64) {
-	c.ec.put(key, base, cp, epoch)
+	return e.cache.stats()
 }

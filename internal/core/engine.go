@@ -116,15 +116,15 @@ type Options struct {
 	DisableFastPath bool
 	// DisableDecompCache turns off the decomposition cache, forcing every
 	// query to re-run DFS+SAT even when another query already decomposed the
-	// same pushdown-normalized region.
+	// same pushdown-normalized region, and every solve over it to re-run.
 	DisableDecompCache bool
 	// DecompCacheSize caps the number of cached query regions
 	// (0 = DefaultDecompCacheSize). Each region may hold up to two
 	// epoch-interval entries — the store frontier's and a snapshot-pinned
-	// reader's — so resident decompositions are bounded by twice this value.
-	// Once full, inserting a new region evicts an arbitrary resident one,
-	// keeping memory bounded; eviction can only cost recomputation, never
-	// change a result.
+	// reader's — so resident decompositions, each with the memo of solves
+	// run over it, are bounded by twice this value. Once full, inserting a
+	// new region evicts an arbitrary resident one, keeping memory bounded;
+	// eviction can only cost recomputation, never change a result.
 	DecompCacheSize int
 	// Scheduler supplies the shared cell-solve scheduler for intra-query
 	// parallelism: per-cell LP/MILP tasks from every in-flight query on this
@@ -140,23 +140,14 @@ type Options struct {
 	// path the differential tests pin the scheduler path against; results
 	// are bit-identical either way.
 	SequentialCells bool
-	// DisableCellCache turns off the epoch-scoped per-cell bound cache,
-	// forcing every query to re-run its cell-level LP/MILP solves even when
-	// an earlier query (or group-by group) already solved content-identical
-	// cells. See cellcache.go.
-	DisableCellCache bool
-	// CellCacheSize caps the number of cached cell-solve keys
-	// (0 = DefaultCellCacheSize). Entries are small scalar results; like the
-	// decomposition cache, each key may hold up to two epoch-interval
-	// entries and eviction only ever costs recomputation.
-	CellCacheSize int
 	// Reference routes every optimized hot-path layer to its preserved
 	// pre-optimization implementation: the recursive SAT search, the
 	// clone-per-child branch-and-bound, and per-solve LP assembly, with
-	// sequential cell solving and no cell-bound cache. Results are
-	// bit-identical to the default configuration; the flag exists for
-	// differential testing and benchmarking (see BenchmarkHotPath). It only
-	// takes effect for solvers the engine creates itself (pass solver=nil).
+	// sequential cell solving, a MILP for every reachability probe and no
+	// solve memo. Results are bit-identical to the default configuration;
+	// the flag exists for differential testing and benchmarking (see
+	// BenchmarkHotPath). It only takes effect for solvers the engine creates
+	// itself (pass solver=nil).
 	Reference bool
 	// Summary supplies the tiered-precision overlay (see AttachSummary):
 	// sound O(dims) interval answers maintained from the store's mutation
@@ -182,18 +173,10 @@ type Engine struct {
 	snap   *Snapshot
 	solver *sat.Solver
 	opts   Options
-	cache  *decompCache // nil when DisableDecompCache is set
-	// cellCache memoizes cell-solve results (per-cell feasibility,
-	// directional solves, search endpoints) with epoch-interval validity;
-	// nil when DisableCellCache or Reference is set. Shared across the
-	// Rebind lineage like the decomposition cache.
-	cellCache *cellBoundCache
+	cache  *epochCache // nil when DisableDecompCache is set
 	// sched dispatches per-cell solve tasks; nil runs cells sequentially
 	// (SequentialCells or Reference).
 	sched *sched.Scheduler
-	// optsSig tags cell-cache keys with the solver options that can shape a
-	// solve result, so entries can never alias across configurations.
-	optsSig string
 	// ctxPool recycles per-query solve contexts (LP tableau arenas plus a
 	// reusable problem shell), so the two-direction × relax-retry pattern and
 	// the feasibility/threshold searches stop reallocating the LP. Solve
@@ -223,15 +206,7 @@ func NewEngineAt(snap *Snapshot, solver *sat.Solver, opts Options) *Engine {
 		if size <= 0 {
 			size = DefaultDecompCacheSize
 		}
-		e.cache = newDecompCache(size, snap.Store())
-	}
-	if !opts.DisableCellCache && !opts.Reference {
-		size := opts.CellCacheSize
-		if size <= 0 {
-			size = DefaultCellCacheSize
-		}
-		e.cellCache = newCellBoundCache(size, snap.Store())
-		e.optsSig = milpOptsSig(opts.MILP)
+		e.cache = newEpochCache(size, snap.Store())
 	}
 	if !opts.SequentialCells && !opts.Reference {
 		e.sched = opts.Scheduler
@@ -245,7 +220,7 @@ func NewEngineAt(snap *Snapshot, solver *sat.Solver, opts Options) *Engine {
 // Rebind returns an engine bound to the store's current snapshot, sharing
 // this engine's SAT solver, options, solve-context pool, and decomposition
 // cache. Cached decompositions whose regions were untouched by the
-// intervening mutations stay live (scoped invalidation — see decompCache),
+// intervening mutations stay live (scoped invalidation — see epochCache),
 // which is what makes mutate→rebound much cheaper than building a fresh
 // engine. If the store has not changed, the receiver itself is returned.
 func (e *Engine) Rebind() *Engine {
@@ -255,7 +230,7 @@ func (e *Engine) Rebind() *Engine {
 	}
 	return &Engine{
 		snap: snap, solver: e.solver, opts: e.opts, cache: e.cache,
-		cellCache: e.cellCache, sched: e.sched, optsSig: e.optsSig, ctxPool: e.ctxPool,
+		sched: e.sched, ctxPool: e.ctxPool,
 	}
 }
 
@@ -381,14 +356,9 @@ type cellProblem struct {
 	onesVal []float64
 	idxAll  []int
 
-	// base is the pushdown-normalized query region this problem was
-	// decomposed for, and baseKey its bit-exact string form (nil/"" when no
-	// cache needs them); they anchor problem-scoped cell-cache keys and
-	// their epoch validity. coupled records whether any active frequency
-	// lower bound survived pushdown — when false, per-cell feasibility is a
-	// cell-local fact and cacheable across problems (see cellcache.go).
-	base    domain.Box
-	baseKey string
+	// coupled records whether any active frequency lower bound survived
+	// pushdown. When none did, the LP has only ≤ rows, and a cell can host a
+	// row exactly when capHi[i] >= 1 (see cellRunner.cellFeas).
 	coupled bool
 
 	satChecks int64
@@ -399,29 +369,30 @@ type cellProblem struct {
 // the cached problem: a cellProblem is immutable after construction, so one
 // instance may serve any number of queries and goroutines. A cached hit
 // reports the SAT checks spent when the decomposition was first computed.
-func (e *Engine) decompose(where *predicate.P) (*cellProblem, error) {
-	var key string
-	var base domain.Box
-	if e.cache != nil || e.cellCache != nil {
-		base = cells.PushdownBox(e.snap.Schema(), where)
-		key = cells.BoxKey(base)
+// memo is the cached entry's solve memo, nil when the decomposition cache is
+// off or under Options.Reference.
+func (e *Engine) decompose(where *predicate.P) (cp *cellProblem, memo *solveMemo, err error) {
+	if e.cache == nil {
+		cp, err = e.decomposeUncached(where)
+		return cp, nil, err
 	}
-	if e.cache != nil {
-		if cp, ok := e.cache.get(key, e.snap.epoch); ok {
-			return cp, nil
+	base := cells.PushdownBox(e.snap.Schema(), where)
+	key := cells.BoxKey(base)
+	en, ok := e.cache.get(key, e.snap.epoch)
+	if !ok {
+		if cp, err = e.decomposeUncached(where); err != nil {
+			return nil, nil, err
 		}
+		en = &decompEntry{cp: cp}
+		e.cache.put(key, base, en, e.snap.epoch)
 	}
-	cp, err := e.decomposeUncached(where, base, key)
-	if err != nil {
-		return nil, err
+	if e.opts.Reference {
+		return en.cp, nil, nil
 	}
-	if e.cache != nil {
-		e.cache.put(key, base, cp, e.snap.epoch)
-	}
-	return cp, nil
+	return en.cp, &en.memo, nil
 }
 
-func (e *Engine) decomposeUncached(where *predicate.P, base domain.Box, baseKey string) (*cellProblem, error) {
+func (e *Engine) decomposeUncached(where *predicate.P) (*cellProblem, error) {
 	opts := e.opts.Cells
 	opts.Pushdown = where
 	res, err := cells.Decompose(e.solver, e.snap.Predicates(), opts)
@@ -434,8 +405,6 @@ func (e *Engine) decomposeUncached(where *predicate.P, base domain.Box, baseKey 
 		cellsOf: make(map[int][]int),
 		kLo:     make(map[int]float64),
 		kHi:     make(map[int]float64),
-		base:    base,
-		baseKey: baseKey,
 	}
 	cp.satChecks = res.Checks
 	cp.valueBoxes = make([]domain.Box, e.snap.Len())
@@ -581,7 +550,6 @@ type solveResult struct {
 	exact      bool    // proven optimal
 	reconciled bool    // kLo relaxation was needed
 	feasible   bool
-	nodes      int
 }
 
 // solve optimizes obj over the cell problem in the given direction, relaxing
@@ -607,15 +575,15 @@ func (cp *cellProblem) solve(sc *solveCtx, obj []float64, maximize bool, forbidZ
 		}
 		switch sol.Status {
 		case milp.Optimal:
-			return solveResult{bound: sol.Objective, exact: true, reconciled: relax, feasible: true, nodes: sol.Nodes}
+			return solveResult{bound: sol.Objective, exact: true, reconciled: relax, feasible: true}
 		case milp.Feasible, milp.BoundOnly:
-			return solveResult{bound: sol.Bound, exact: false, reconciled: relax, feasible: true, nodes: sol.Nodes}
+			return solveResult{bound: sol.Bound, exact: false, reconciled: relax, feasible: true}
 		case milp.Unbounded:
 			inf := math.Inf(1)
 			if !maximize {
 				inf = math.Inf(-1)
 			}
-			return solveResult{bound: inf, exact: true, reconciled: relax, feasible: true, nodes: sol.Nodes}
+			return solveResult{bound: inf, exact: true, reconciled: relax, feasible: true}
 		case milp.Infeasible:
 			// fall through to the relaxed attempt
 		}
@@ -623,20 +591,21 @@ func (cp *cellProblem) solve(sc *solveCtx, obj []float64, maximize bool, forbidZ
 	return solveResult{feasible: false}
 }
 
-// feasible reports whether any allocation satisfies the constraints with the
-// given cell restrictions.
+// feasible reports whether some allocation may satisfy the constraints with
+// the given cell restrictions. An undecided verdict counts as feasible:
+// on a true every caller keeps a cell, a threshold or AVG's search, and
+// keeping one that a node cap could not rule out only widens the range.
 func (cp *cellProblem) feasible(sc *solveCtx, forbidZero []bool, atLeastOne bool, minOne int, mopts milp.Options) bool {
-	ok, _ := cp.feasibleStatus(sc, forbidZero, atLeastOne, minOne, mopts)
-	return ok
+	ok, decided := cp.feasibleStatus(sc, forbidZero, atLeastOne, minOne, mopts)
+	return ok || !decided
 }
 
-// feasibleStatus is feasible plus whether the verdict is budget-independent.
-// A true verdict always is (an incumbent or proven-optimal solution exists),
-// as is a false from a proven-infeasible relaxation; a false from a
-// BoundOnly exit — node budget exhausted with no incumbent found — depends
-// on how much of the search tree the budget covered, which depends on the
-// WHOLE problem. Undecided verdicts must not be cached under cell-scoped
-// keys shared by other problems (see cellcache.go).
+// feasibleStatus reports whether the solver found an allocation satisfying
+// the constraints with the given cell restrictions, and whether that verdict
+// is decided. A true verdict always is (an incumbent or proven-optimal
+// solution exists), as is a false from a proven-infeasible search; a false
+// from a BoundOnly exit — node budget exhausted with no incumbent found —
+// proves nothing.
 func (cp *cellProblem) feasibleStatus(sc *solveCtx, forbidZero []bool, atLeastOne bool, minOne int, mopts milp.Options) (ok, decided bool) {
 	var p *lp.Problem
 	if sc != nil {

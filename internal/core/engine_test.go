@@ -456,6 +456,98 @@ func TestRandomizedSoundness(t *testing.T) {
 	}
 }
 
+// TestNodeCapSoundness is TestRandomizedSoundness under a one-node MILP
+// budget on a 2-D integral schema, where overlapping boxes give fractional
+// LP vertices and many feasibility probes stop at the node cap with no
+// incumbent. Such an undecided probe must count as feasible: a cell it
+// could not rule out stays reachable for MIN/MAX, a threshold stays
+// eligible, and AVG does not report that no row can exist.
+func TestNodeCapSoundness(t *testing.T) {
+	s := domain.NewSchema(
+		domain.Attr{Name: "x", Kind: domain.Integral, Domain: domain.NewInterval(0, 9)},
+		domain.Attr{Name: "y", Kind: domain.Integral, Domain: domain.NewInterval(0, 9)},
+	)
+	rng := rand.New(rand.NewSource(5))
+	span := func() (float64, float64) {
+		a, b := rng.Intn(10), rng.Intn(10)
+		if a > b {
+			a, b = b, a
+		}
+		return float64(a), float64(b)
+	}
+	box := func() *predicate.P {
+		xa, xb := span()
+		ya, yb := span()
+		return predicate.NewBuilder(s).Range("x", xa, xb).Range("y", ya, yb).Build()
+	}
+	opts := Options{}
+	opts.MILP.MaxNodes = 1
+	checked := 0
+	for trial := 0; trial < 400; trial++ {
+		rows := make([]domain.Row, 1+rng.Intn(30))
+		for i := range rows {
+			rows[i] = domain.Row{float64(rng.Intn(10)), float64(rng.Intn(10))}
+		}
+		set := NewSet(s)
+		for i, nPC := 0, 2+rng.Intn(5); i < nPC; i++ {
+			pred := box()
+			cnt := 0
+			vlo, vhi := math.Inf(1), math.Inf(-1)
+			for _, r := range rows {
+				if pred.Eval(r) {
+					cnt++
+					vlo, vhi = math.Min(vlo, r[1]), math.Max(vhi, r[1])
+				}
+			}
+			if cnt == 0 {
+				vlo, vhi = 0, 9
+			}
+			set.MustAdd(MustPC(pred, map[string]domain.Interval{"y": domain.NewInterval(vlo, vhi)}, cnt, cnt))
+		}
+		set.MustAdd(MustPC(predicate.True(s), nil, 0, len(rows)))
+		if errs := set.Validate(rows); len(errs) != 0 {
+			t.Fatalf("trial %d: derived PCs not satisfied: %v", trial, errs)
+		}
+		e := NewEngine(set, nil, opts)
+		for qi := 0; qi < 4; qi++ {
+			var where *predicate.P
+			if qi > 0 {
+				where = box()
+			}
+			var match []float64
+			for _, r := range rows {
+				if where == nil || where.Eval(r) {
+					match = append(match, r[1])
+				}
+			}
+			sum, mn, mx := 0.0, math.Inf(1), math.Inf(-1)
+			for _, v := range match {
+				sum += v
+				mn, mx = math.Min(mn, v), math.Max(mx, v)
+			}
+			truth := map[Agg]float64{Count: float64(len(match)), Sum: sum}
+			if len(match) > 0 {
+				truth[Avg], truth[Min], truth[Max] = sum/float64(len(match)), mn, mx
+			}
+			for _, agg := range []Agg{Count, Sum, Avg, Min, Max} {
+				want, ok := truth[agg]
+				if !ok {
+					continue
+				}
+				r, err := e.Bound(Query{Agg: agg, Attr: "y", Where: where})
+				if err != nil {
+					t.Fatal(err)
+				}
+				checked++
+				if !r.Contains(want) {
+					t.Errorf("trial %d q%d: %v %v outside %v", trial, qi, agg, want, r)
+				}
+			}
+		}
+	}
+	t.Logf("checked %d ranges", checked)
+}
+
 func TestEarlyStoppingSoundButLooser(t *testing.T) {
 	s := salesSchema()
 	rng := rand.New(rand.NewSource(3))

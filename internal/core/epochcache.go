@@ -7,25 +7,83 @@ import (
 	"pcbound/internal/domain"
 )
 
-// This file implements the epoch-interval cache mechanism shared by the
-// decomposition cache (decompCache in batch.go) and the per-cell bound cache
-// (cellcache.go). Both memoize pure functions of a region of the constraint
-// store: entries carry the region box they were computed over plus the epoch
-// interval [lo, hi] they are known valid for, and validity extends across
-// store mutations whose predicate boxes do not overlap the region (scoped
-// invalidation, consulting the store's bounded mutation log). The cached
-// value type is opaque here; each wrapper documents what it stores and why a
-// hit is bit-identical to recomputation.
+// This file implements the decomposition cache: cell decompositions
+// memoized by pushdown-normalized region, each together with a memo of the
+// solves run over it (decompEntry). Entries carry the region box they were
+// computed over plus the epoch interval [lo, hi] they are known valid for,
+// and validity extends across store mutations whose predicate boxes do not
+// overlap the region (scoped invalidation, consulting the store's bounded
+// mutation log). A fresh decomposition would then see the identical kept
+// predicate sequence and produce bit-identical cells, and every memoized
+// solve over those cells the identical LP, so a hit is bit-identical to
+// recomputation.
 
-// epochEntry is one cached value together with the epoch interval [lo, hi]
-// over which it is known valid. base is the region the value was computed
+// decompEntry is one cached decomposition: the immutable cell problem and
+// the memo of solves over it. The memo sits beside the problem rather than
+// inside it (a cellProblem is never written after construction), and shares
+// the entry's validity and eviction.
+type decompEntry struct {
+	cp   *cellProblem
+	memo solveMemo
+}
+
+// solveMemo memoizes the problem-scoped results of one decomposition:
+// reachability in coupled problems, whole-problem feasibility, directional
+// solves, AVG searches and MIN/MAX threshold searches. Each is a pure
+// function of the cell problem, the engine's MILP options (fixed for a
+// Rebind lineage, which is all that shares a cache) and its key. Verdicts
+// ride in solveResult.feasible and search endpoints in solveResult.bound.
+// Two goroutines that miss the same key both solve it and store the same
+// value.
+type solveMemo struct {
+	mu   sync.Mutex
+	vals map[memoKey]solveResult // guarded by mu
+}
+
+// memoKey names one memoized task: the decomposition fixes the LP's rows,
+// the key adds what shapes the task's objective and restrictions.
+type memoKey struct {
+	attr string // aggregated attribute ("" for COUNT, reachability and feasibility)
+	cell int    // memoReach: the cell that must host a row
+	task memoTask
+	up   bool // maximizing / upper endpoint / ascending threshold / at least one row
+}
+
+type memoTask uint8
+
+const (
+	memoReach     memoTask = iota // can cell host a row (coupled problems only)
+	memoFeasible                  // can any allocation satisfy the constraints
+	memoCount                     // COUNT's directional solve
+	memoSum                       // SUM's directional solve
+	memoAvg                       // AVG's bisection endpoint
+	memoThreshold                 // MIN/MAX's threshold search
+)
+
+func (m *solveMemo) get(k memoKey) (solveResult, bool) {
+	m.mu.Lock()
+	v, ok := m.vals[k]
+	m.mu.Unlock()
+	return v, ok
+}
+
+func (m *solveMemo) put(k memoKey, v solveResult) {
+	m.mu.Lock()
+	if m.vals == nil {
+		m.vals = make(map[memoKey]solveResult)
+	}
+	m.vals[k] = v
+	m.mu.Unlock()
+}
+
+// epochEntry is one cached decomposition together with the epoch interval
+// [lo, hi] over which it is known valid. base is the region it was computed
 // over; validity extends across a mutation exactly when no touched predicate
 // box overlaps base on the schema lattice (the same overlap test Decompose
 // uses to drop predicates from the branching set, so "no overlap" means a
-// fresh computation would see the identical inputs and produce a
-// bit-identical value).
+// fresh decomposition would see the identical inputs).
 type epochEntry struct {
-	val    any
+	val    *decompEntry
 	base   domain.Box
 	lo, hi uint64 // guarded by epochCache.mu
 	// used is the cache's logical clock at the entry's last hit, so per-key
@@ -40,9 +98,9 @@ type epochEntry struct {
 // the region was mutated in between.
 const maxEntriesPerKey = 2
 
-// epochCache memoizes values by string key with epoch-interval validity.
-// Entries are immutable values shared by all readers and all engines in a
-// Rebind lineage. Store mutations do NOT flush the cache: get() consults the
+// epochCache memoizes decompositions by region key with epoch-interval
+// validity. Entries are shared by all readers and all engines in a Rebind
+// lineage. Store mutations do NOT flush the cache: get() consults the
 // store's mutation log and retains every entry whose region no mutation
 // touched (scoped invalidation), extending its validity interval; only
 // entries overlapping a changed predicate box are dropped from consideration
@@ -60,13 +118,15 @@ type epochCache struct {
 	clock   atomic.Int64 // logical time for LRU stamps
 
 	hits, misses, retained, invalidated atomic.Int64
+	// memoHits and memoMisses count lookups in the entries' solve memos.
+	memoHits, memoMisses atomic.Int64
 }
 
 func newEpochCache(max int, store *Store) *epochCache {
 	return &epochCache{store: store, entries: make(map[string][]*epochEntry), max: max}
 }
 
-func (c *epochCache) get(key string, epoch uint64) (any, bool) {
+func (c *epochCache) get(key string, epoch uint64) (*decompEntry, bool) {
 	// Direct containment: the steady-state hit path, allocation-free.
 	c.mu.RLock()
 	ens := c.entries[key]
@@ -148,7 +208,7 @@ func (c *epochCache) extend(key string, en *epochEntry, epoch uint64, forward bo
 	c.mu.Unlock()
 }
 
-func (c *epochCache) put(key string, base domain.Box, val any, epoch uint64) {
+func (c *epochCache) put(key string, base domain.Box, val *decompEntry, epoch uint64) {
 	en := &epochEntry{val: val, base: base, lo: epoch, hi: epoch}
 	en.used.Store(c.clock.Add(1))
 	c.mu.Lock()
@@ -204,5 +264,7 @@ func (c *epochCache) stats() CacheStats {
 		Misses:      c.misses.Load(),
 		Retained:    c.retained.Load(),
 		Invalidated: c.invalidated.Load(),
+		MemoHits:    c.memoHits.Load(),
+		MemoMisses:  c.memoMisses.Load(),
 	}
 }

@@ -15,11 +15,8 @@ type GroupResult struct {
 // a result (a zero/empty range), so callers can render every group.
 //
 // Each group's bound routes through the engine's shared scheduler (its cell
-// solves fan out instead of serializing) and through the epoch-scoped
-// cell-bound cache: groups whose regions decompose into content-identical
-// cells — typical when groups slice one attribute while the constraints
-// live on others — skip the shared per-cell LP/MILP work after the first
-// group solves it (see cellcache.go's cell-scoped keys). Results are
+// solves fan out instead of serializing) and through the decomposition
+// cache, whose solve memo serves a group region bounded before. Results are
 // bit-identical to bounding each group on a fresh sequential engine.
 func (e *Engine) GroupBy(q Query, groups []*predicate.P) ([]GroupResult, error) {
 	out := make([]GroupResult, 0, len(groups))

@@ -2,20 +2,22 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"pcbound/internal/domain"
+	"pcbound/internal/milp"
 	"pcbound/internal/predicate"
 	"pcbound/internal/sched"
 )
 
 // These tests pin the intra-query parallelism contract: Range results from
 // the scheduler path (per-cell tasks fanned out over a shared cost-ordered
-// scheduler, cell-bound cache on) are bit-identical to the sequential
-// reference path (SequentialCells, no cell cache) at every parallelism
-// level, for all five aggregates and for group-by.
+// scheduler, solve memo on) are bit-identical to the sequential reference
+// path (SequentialCells, no decomposition cache and so no memo) at every
+// parallelism level, for all five aggregates and for group-by.
 
 // schedWorkerCounts are the scheduler widths the differential tests sweep:
 // caller-only (parallelism 1), one worker (parallelism 2), and NumCPU.
@@ -30,8 +32,8 @@ func schedWorkerCounts() []int {
 }
 
 // coupledSet is overlappingSet: its frequency lower bounds survive pushdown
-// for wide queries, exercising the problem-scoped (coupled) cache keys.
-// uncoupledSet has kLo=0 everywhere, exercising the cell-scoped keys.
+// for wide queries, exercising memoized reachability solves. uncoupledSet
+// has kLo=0 everywhere, exercising closed-form reachability.
 func uncoupledSet(t testing.TB) *Set {
 	t.Helper()
 	s := salesSchema()
@@ -52,7 +54,7 @@ func uncoupledSet(t testing.TB) *Set {
 // TestIntraQueryBitIdentical: for every aggregate and a mix of regions, the
 // scheduler path at parallelism 1, 2, and NumCPU returns Ranges
 // bit-identical to the sequential reference — cold and again warm (second
-// pass served by the cell-bound cache).
+// pass served by the solve memo).
 func TestIntraQueryBitIdentical(t *testing.T) {
 	for _, mk := range []struct {
 		name string
@@ -62,7 +64,7 @@ func TestIntraQueryBitIdentical(t *testing.T) {
 			set := mk.set(t)
 			queries := batchWorkload(set.Schema())
 			ref := NewEngine(set, nil, Options{
-				DisableFastPath: true, SequentialCells: true, DisableCellCache: true,
+				DisableFastPath: true, SequentialCells: true, DisableDecompCache: true,
 			})
 			want := make([]Range, len(queries))
 			for i, q := range queries {
@@ -89,8 +91,8 @@ func TestIntraQueryBitIdentical(t *testing.T) {
 							}
 						}
 					}
-					if pass2 := eng.CellCacheStats(); pass2.Hits == 0 {
-						t.Fatalf("second pass produced no cell-cache hits: %+v", pass2)
+					if pass2 := eng.CacheStats(); pass2.MemoHits == 0 {
+						t.Fatalf("second pass produced no solve-memo hits: %+v", pass2)
 					}
 				})
 			}
@@ -98,16 +100,16 @@ func TestIntraQueryBitIdentical(t *testing.T) {
 	}
 }
 
-// TestGroupByBitIdenticalAndShared: group-by over the scheduler+cache path
-// matches per-group sequential bounds bit-identically, and groups slicing an
-// unconstrained attribute share cell-scoped cache entries (hits despite
-// distinct group regions).
+// TestGroupByBitIdenticalAndShared: group-by over the scheduler+memo path
+// matches per-group sequential bounds bit-identically when groups slice an
+// unconstrained attribute and so share their cells' structure (their
+// reachability is answered in closed form, with no solve to share).
 func TestGroupByBitIdenticalAndShared(t *testing.T) {
 	set := uncoupledSet(t)
 	s := set.Schema()
 	// Groups slice the aggregated attribute; the constraints' predicates
 	// live on utc/branch, so every group sees the same active sets and
-	// frequency windows — the cell-scoped sharing case.
+	// frequency windows.
 	var groups []*predicate.P
 	for g := 0; g < 6; g++ {
 		groups = append(groups, predicate.NewBuilder(s).
@@ -117,7 +119,7 @@ func TestGroupByBitIdenticalAndShared(t *testing.T) {
 		Where: predicate.NewBuilder(s).Range("utc", 2, 18).Build()}
 
 	ref := NewEngine(set, nil, Options{
-		DisableFastPath: true, SequentialCells: true, DisableCellCache: true,
+		DisableFastPath: true, SequentialCells: true, DisableDecompCache: true,
 	})
 	want, err := ref.GroupBy(q, groups)
 	if err != nil {
@@ -135,10 +137,6 @@ func TestGroupByBitIdenticalAndShared(t *testing.T) {
 		if got[i].Range != want[i].Range {
 			t.Fatalf("group %d: scheduler range %+v != sequential %+v", i, got[i].Range, want[i].Range)
 		}
-	}
-	cs := eng.CellCacheStats()
-	if cs.Hits == 0 {
-		t.Fatalf("groups over shared cells produced no cell-cache hits: %+v", cs)
 	}
 }
 
@@ -169,11 +167,11 @@ func contains(s, sub string) bool {
 }
 
 // TestCellCacheMutateReboundDifferential is the randomized correctness
-// gauntlet for the epoch-scoped cell-bound cache: a store mutates through
-// random add/remove/replace epochs while one warm engine lineage (Rebind,
-// shared cell cache) keeps answering a fixed workload; after every epoch
-// each Range must be bit-identical to a cold sequential engine built from
-// scratch on the same store state.
+// gauntlet for the solve memo kept in the decomposition cache: a store
+// mutates through random add/remove/replace epochs while one warm engine
+// lineage (Rebind, shared cache) keeps answering a fixed workload; after
+// every epoch each Range must be bit-identical to a cold sequential engine
+// built from scratch, with no cache, on the same store state.
 func TestCellCacheMutateReboundDifferential(t *testing.T) {
 	s := salesSchema()
 	rng := rand.New(rand.NewSource(7))
@@ -224,8 +222,7 @@ func TestCellCacheMutateReboundDifferential(t *testing.T) {
 		}
 		warm = warm.Rebind()
 		cold := NewEngine(store, nil, Options{
-			DisableFastPath: true, SequentialCells: true,
-			DisableCellCache: true, DisableDecompCache: true,
+			DisableFastPath: true, SequentialCells: true, DisableDecompCache: true,
 		})
 		for i, q := range queries {
 			got, err := warm.Bound(q)
@@ -242,80 +239,122 @@ func TestCellCacheMutateReboundDifferential(t *testing.T) {
 			}
 		}
 	}
-	cs := warm.CellCacheStats()
-	if cs.Hits == 0 {
-		t.Fatalf("mutate→rebound run produced no cell-cache hits: %+v", cs)
+	cs := warm.CacheStats()
+	if cs.MemoHits == 0 {
+		t.Fatalf("mutate→rebound run produced no solve-memo hits: %+v", cs)
 	}
 	if cs.Retained == 0 {
-		t.Fatalf("scoped invalidation never retained an entry across epochs: %+v", cs)
+		t.Fatalf("scoped invalidation never retained a decomposition across epochs: %+v", cs)
 	}
 }
 
-// TestCellSigDifferentiates is the collision test on the cell signature
-// key: constraint sets that differ only in value boxes, only in frequency
-// windows, or only in verification status must produce different cell
-// signatures — sharing across any of those differences could alias a
-// future cell-local solve. Identical content must produce identical
-// signatures (that equality is what group-by sharing rides on).
-func TestCellSigDifferentiates(t *testing.T) {
-	s := salesSchema()
-	build := func(vhi float64, khi int) *cellProblem {
-		set := NewSet(s)
-		set.MustAdd(MustPC(
-			predicate.NewBuilder(s).Range("utc", 0, 10).Build(),
-			map[string]domain.Interval{"price": domain.NewInterval(0, vhi)}, 0, khi,
-		))
-		eng := NewEngine(set, nil, Options{DisableFastPath: true})
-		cp, err := eng.decompose(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(cp.cells) == 0 {
-			t.Fatal("no cells")
-		}
-		return cp
-	}
-	base := build(50, 5)
-	sameContent := build(50, 5)
-	diffValues := build(60, 5)
-	diffWindow := build(50, 4)
-
-	if got, want := sameContent.cellSig(0), base.cellSig(0); got != want {
-		t.Fatalf("identical content produced different signatures:\n%q\n%q", got, want)
-	}
-	if got := diffValues.cellSig(0); got == base.cellSig(0) {
-		t.Fatalf("value-box change did not change the signature: %q", got)
-	}
-	if got := diffWindow.cellSig(0); got == base.cellSig(0) {
-		t.Fatalf("frequency-window change did not change the signature: %q", got)
-	}
-
-	// Verified flag: an early-stopped (unverified) cell must never share
-	// with a verified one.
-	set := NewSet(s)
-	set.MustAdd(
-		MustPC(predicate.NewBuilder(s).Range("utc", 0, 10).Build(),
-			map[string]domain.Interval{"price": domain.NewInterval(0, 50)}, 0, 5),
-		MustPC(predicate.NewBuilder(s).Range("utc", 5, 15).Build(),
-			map[string]domain.Interval{"price": domain.NewInterval(0, 50)}, 0, 5),
+// TestClosedFormReachMatchesSolver: with no active frequency lower bound the
+// engine answers "can cell i host a row" as capHi[i] >= 1 instead of
+// solving a MILP. On random uncoupled stores cellFeas's verdict must equal
+// the solver's decided verdict on every cell, over Integral and Continuous
+// predicate attributes, constraints with KHi = 0, infinite caps (the same
+// problems with some frequency upper bounds lifted to +Inf) and
+// early-stopped, unverified cells.
+func TestClosedFormReachMatchesSolver(t *testing.T) {
+	s := domain.NewSchema(
+		domain.Attr{Name: "x", Kind: domain.Integral, Domain: domain.NewInterval(0, 9)},
+		domain.Attr{Name: "y", Kind: domain.Continuous, Domain: domain.NewInterval(0, 10)},
 	)
-	opts := Options{DisableFastPath: true}
-	opts.Cells.EarlyStopLayer = 1
-	es := NewEngine(set, nil, opts)
-	cpES, err := es.decompose(nil)
-	if err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(11))
+	region := func() *predicate.P {
+		xa, xb := rng.Intn(10), rng.Intn(10)
+		if xa > xb {
+			xa, xb = xb, xa
+		}
+		ya := rng.Float64() * 8
+		return predicate.NewBuilder(s).Range("x", float64(xa), float64(xb)).
+			Range("y", ya, ya+1+rng.Float64()*6).Build()
 	}
-	foundUnverified := false
-	for i := range cpES.cells {
-		if !cpES.cells[i].Verified {
-			foundUnverified = true
-			if sig := cpES.cellSig(i); sig[0] != 'u' {
-				t.Fatalf("unverified cell signature %q does not lead with the unverified marker", sig)
+	sc := &solveCtx{}
+	var cellsSeen, zeroCaps, infCaps, unverified int
+	check := func(e *Engine, cp *cellProblem, trial int) {
+		if cp.coupled {
+			t.Fatalf("trial %d: problem with no frequency lower bound is coupled", trial)
+		}
+		reach := make([]bool, len(cp.cells))
+		rn := e.newRunner(cp, nil, sc)
+		rn.cellFeas(cp.idxAll, reach)
+		for i := range cp.cells {
+			ok, decided := cp.feasibleStatus(sc, nil, false, i, milp.Options{})
+			if !decided {
+				t.Fatalf("trial %d cell %d: solver verdict undecided", trial, i)
+			}
+			if reach[i] != ok {
+				t.Fatalf("trial %d cell %d (cap %v, active %v): closed form %v, solver %v",
+					trial, i, cp.capHi[i], cp.cells[i].Active, reach[i], ok)
+			}
+			cellsSeen++
+			switch {
+			case cp.capHi[i] == 0:
+				zeroCaps++
+			case math.IsInf(cp.capHi[i], 1):
+				infCaps++
+			}
+			if !cp.cells[i].Verified {
+				unverified++
 			}
 		}
 	}
-	if !foundUnverified {
-		t.Skip("early stopping produced no unverified cell in this configuration")
+	for trial := 0; trial < 60; trial++ {
+		set := NewSet(s)
+		for j, n := 0, 2+rng.Intn(5); j < n; j++ {
+			vlo := rng.Float64() * 5
+			set.MustAdd(MustPC(region(),
+				map[string]domain.Interval{"y": domain.NewInterval(vlo, vlo+rng.Float64()*5)},
+				0, rng.Intn(4)))
+		}
+		opts := Options{DisableFastPath: true}
+		if trial%3 == 0 {
+			opts.Cells.EarlyStopLayer = 1
+		}
+		e := NewEngine(set, nil, opts)
+		for qi := 0; qi < 3; qi++ {
+			var where *predicate.P
+			if qi > 0 {
+				where = region()
+			}
+			cp, _, err := e.decompose(where)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(e, cp, trial)
+			lift := map[int]bool{}
+			for _, j := range cp.consIdx {
+				lift[j] = rng.Intn(2) == 0
+			}
+			check(e, withInfiniteKHi(cp, lift), trial)
+		}
+	}
+	t.Logf("%d cells: %d with cap 0, %d with an infinite cap, %d unverified", cellsSeen, zeroCaps, infCaps, unverified)
+	if zeroCaps == 0 || infCaps == 0 || unverified == 0 {
+		t.Fatalf("generator missed a case: %d cells, %d with cap 0, %d infinite, %d unverified",
+			cellsSeen, zeroCaps, infCaps, unverified)
+	}
+}
+
+// withInfiniteKHi returns cp with the frequency upper bounds of the
+// constraints in lift raised to +Inf and the cell caps recomputed.
+func withInfiniteKHi(cp *cellProblem, lift map[int]bool) *cellProblem {
+	kHi := make(map[int]float64, len(cp.kHi))
+	vec := make([]float64, len(cp.valueBoxes))
+	for j, v := range cp.kHi {
+		if lift[j] {
+			v = math.Inf(1)
+		}
+		kHi[j], vec[j] = v, v
+	}
+	capHi := make([]float64, len(cp.cells))
+	for i := range cp.cells {
+		capHi[i] = cp.cells[i].MaxCount(vec)
+	}
+	return &cellProblem{
+		schema: cp.schema, cells: cp.cells, cellsOf: cp.cellsOf, kLo: cp.kLo, kHi: kHi,
+		valueBoxes: cp.valueBoxes, capHi: capHi,
+		consIdx: cp.consIdx, onesVal: cp.onesVal, idxAll: cp.idxAll,
 	}
 }

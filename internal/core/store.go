@@ -34,7 +34,7 @@ import (
 //   - Engine-side decomposition caches consult the mutation log to decide,
 //     per cached region, whether any mutation between two epochs could have
 //     changed that region's decomposition (scoped invalidation — see
-//     decompCache in batch.go).
+//     epochCache in epochcache.go).
 //
 // The closure check (Definition 3.2) is maintained incrementally: the store
 // keeps a sat.Incremental tracker of the uncovered remainder of the domain

@@ -15,8 +15,8 @@
 // query may carry a width budget; if the summary interval fits the budget
 // the answer is served from the summary tier and tagged PrecisionSummary,
 // otherwise the engine escalates to the exact path — which still reuses the
-// shared scheduler and the epoch-scoped cell cache, so escalated cells are
-// solved in parallel and remembered.
+// shared scheduler and the decomposition cache's solve memo, so escalated
+// cells are solved in parallel and remembered.
 package core
 
 import (
@@ -228,7 +228,7 @@ func (e *Engine) BoundTiered(q Query, spec TierSpec) (Range, Precision, error) {
 
 // BoundTieredCtx bounds the query under the tiering policy: it answers from
 // the summary tier when spec allows and the loose interval fits, and
-// escalates to the exact path (scheduler + cell cache and all) otherwise.
+// escalates to the exact path (scheduler + solve memo and all) otherwise.
 // The returned Precision tags which tier produced the range.
 func (e *Engine) BoundTieredCtx(ctx context.Context, q Query, spec TierSpec) (Range, Precision, error) {
 	if spec.Mode != TierExact {

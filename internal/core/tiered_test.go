@@ -361,7 +361,7 @@ func TestBoundBatchTiered(t *testing.T) {
 
 // BenchmarkTieredBound is the tentpole's latency claim in benchmark form:
 // a within-budget summary answer vs the cold exact path (no decomposition
-// cache, no cell cache — the cost a cache-miss burst or fresh epoch pays)
+// cache, so no solve memo — the cost a cache-miss burst or fresh epoch pays)
 // on the same store and query. The pcbench "tiered" suite records the same
 // comparison in BENCH_PR8.json with the speedup computed in process.
 func BenchmarkTieredBound(b *testing.B) {
@@ -387,8 +387,7 @@ func BenchmarkTieredBound(b *testing.B) {
 	})
 	b.Run("exact-cold", func(b *testing.B) {
 		eng := NewEngine(set, nil, Options{
-			DisableFastPath: true, SequentialCells: true,
-			DisableCellCache: true, DisableDecompCache: true,
+			DisableFastPath: true, SequentialCells: true, DisableDecompCache: true,
 		})
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

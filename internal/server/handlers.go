@@ -198,10 +198,22 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // while http.Server.Shutdown lets in-flight requests finish.
 func (s *Server) StartDraining() { s.draining.Store(true) }
 
-// writeJSON serializes v with a status code.
+// appender is a response that appends its own JSON encoding,
+// byte-identical to encoding/json's.
+type appender interface{ appendJSON([]byte) []byte }
+
+// writeJSON serializes v with a status code. Read answers (BoundResponse,
+// BatchResponse) append their own encoding: no reflection, and no draw on
+// encoding/json's shared encode-state pool, where steady read traffic would
+// keep alive whatever buffer the largest document the process encoded (a
+// GET /v1/store of the whole spec, a WAL checkpoint) grew.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
+	if a, ok := v.(appender); ok {
+		_, _ = w.Write(append(a.appendJSON(make([]byte, 0, 512)), '\n'))
+		return
+	}
 	_ = json.NewEncoder(w).Encode(v)
 }
 
@@ -681,7 +693,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	sv := s.serving()
 	e := sv.pool.Current()
 	cs := e.CacheStats()
-	ccs := e.CellCacheStats()
 	ss := e.Solver().Stats()
 	fmt.Fprintf(w, "pcserved_store_epoch %d\n", sv.store.Epoch())
 	fmt.Fprintf(w, "pcserved_store_constraints %d\n", sv.store.Len())
@@ -692,10 +703,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "pcserved_cache_misses_total %d\n", cs.Misses)
 	fmt.Fprintf(w, "pcserved_cache_retained_total %d\n", cs.Retained)
 	fmt.Fprintf(w, "pcserved_cache_invalidated_total %d\n", cs.Invalidated)
-	fmt.Fprintf(w, "pcserved_cellcache_hits_total %d\n", ccs.Hits)
-	fmt.Fprintf(w, "pcserved_cellcache_misses_total %d\n", ccs.Misses)
-	fmt.Fprintf(w, "pcserved_cellcache_retained_total %d\n", ccs.Retained)
-	fmt.Fprintf(w, "pcserved_cellcache_invalidated_total %d\n", ccs.Invalidated)
+	// The cellcache names count lookups in the cached decompositions' solve
+	// memo.
+	fmt.Fprintf(w, "pcserved_cellcache_hits_total %d\n", cs.MemoHits)
+	fmt.Fprintf(w, "pcserved_cellcache_misses_total %d\n", cs.MemoMisses)
 	if sch := e.Scheduler(); sch != nil {
 		// The scheduler is shared by every engine in the pool (and any other
 		// engine in the process pointed at it): one queue, so queue depth is

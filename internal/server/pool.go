@@ -28,7 +28,7 @@ const DefaultRetainEpochs = 8
 // in the pool are one Rebind lineage, so they share the SAT solver, the
 // solve-context pool, and the decomposition cache — a snapshot-pinned reader
 // and the frontier serve from the same cache without perturbing each other
-// (see decompCache's per-key epoch intervals in internal/core).
+// (see epochCache's per-key epoch intervals in internal/core).
 //
 // Older engines are retained by epoch, capped at retain entries, so clients
 // can keep querying the snapshot a previous response reported. Eviction just

@@ -622,8 +622,8 @@ func TestBound400NamesQuery(t *testing.T) {
 }
 
 // TestMetricsSchedulerAndCellCache: /metrics exports the shared scheduler's
-// counters and the cell-bound cache's hit/miss counters, and repeated
-// traffic actually hits the cell cache.
+// counters and the solve memo's hit/miss counters (under the
+// pcserved_cellcache_* names), and repeated traffic actually hits the memo.
 func TestMetricsSchedulerAndCellCache(t *testing.T) {
 	store := testStore(t)
 	ts := newTestServer(t, store, Config{})
@@ -656,6 +656,6 @@ func TestMetricsSchedulerAndCellCache(t *testing.T) {
 		}
 	}
 	if hits == 0 {
-		t.Errorf("repeated MIN traffic produced no cell-cache hits:\n%s", body)
+		t.Errorf("repeated MIN traffic produced no solve-memo hits:\n%s", body)
 	}
 }

@@ -49,6 +49,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
+	"unicode/utf8"
 
 	"pcbound/internal/core"
 )
@@ -76,6 +78,34 @@ func (n Num) MarshalJSON() ([]byte, error) {
 		return []byte(`"NaN"`), nil
 	}
 	return json.Marshal(f)
+}
+
+// appendJSON appends MarshalJSON's bytes without encoding/json: a finite
+// value as encoding/json writes a float64 (shortest round-trip digits,
+// exponent form below 1e-6 and from 1e21 up).
+func (n Num) appendJSON(b []byte) []byte {
+	f := float64(n)
+	switch {
+	case math.IsInf(f, 1):
+		return append(b, `"+Inf"`...)
+	case math.IsInf(f, -1):
+		return append(b, `"-Inf"`...)
+	case math.IsNaN(f):
+		return append(b, `"NaN"`...)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// e-07 → e-7, as encoding/json writes it.
+		if k := len(b); k >= 4 && b[k-4] == 'e' && b[k-3] == '-' && b[k-2] == '0' {
+			b[k-2] = b[k-1]
+			b = b[:k-1]
+		}
+	}
+	return b
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
@@ -131,6 +161,35 @@ func RangeToJSON(r core.Range) RangeJSON {
 	}
 }
 
+// appendJSON appends rj's encoding, byte-identical to encoding/json's.
+func (rj RangeJSON) appendJSON(b []byte) []byte {
+	b = append(b, `{"lo":`...)
+	b = rj.Lo.appendJSON(b)
+	b = append(b, `,"hi":`...)
+	b = rj.Hi.appendJSON(b)
+	if rj.LoExact {
+		b = append(b, `,"lo_exact":true`...)
+	}
+	if rj.HiExact {
+		b = append(b, `,"hi_exact":true`...)
+	}
+	if rj.MaybeEmpty {
+		b = append(b, `,"maybe_empty":true`...)
+	}
+	if rj.Reconciled {
+		b = append(b, `,"reconciled":true`...)
+	}
+	if rj.Cells != 0 {
+		b = append(b, `,"cells":`...)
+		b = strconv.AppendInt(b, int64(rj.Cells), 10)
+	}
+	if rj.SATChecks != 0 {
+		b = append(b, `,"sat_checks":`...)
+		b = strconv.AppendInt(b, rj.SATChecks, 10)
+	}
+	return append(b, '}')
+}
+
 // Range converts back to the engine type.
 func (rj RangeJSON) Range() core.Range {
 	return core.Range{
@@ -179,6 +238,17 @@ type BoundResponse struct {
 	Precision string    `json:"precision"`
 }
 
+// appendJSON appends r's encoding, byte-identical to encoding/json's.
+func (r BoundResponse) appendJSON(b []byte) []byte {
+	b = append(b, `{"range":`...)
+	b = r.Range.appendJSON(b)
+	b = append(b, `,"epoch":`...)
+	b = strconv.AppendUint(b, r.Epoch, 10)
+	b = append(b, `,"precision":`...)
+	b = appendString(b, r.Precision)
+	return append(b, '}')
+}
+
 // BatchRequest is the body of POST /v1/batch. Parallelism limits the worker
 // fan-out for this batch: 0 uses the server default, -1 all cores; values
 // are clamped to the server's configured ceiling. Precision/MaxWidth apply
@@ -200,6 +270,54 @@ type BatchResponse struct {
 	Ranges     []RangeJSON `json:"ranges"`
 	Epoch      uint64      `json:"epoch"`
 	Precisions []string    `json:"precisions"`
+}
+
+// appendJSON appends r's encoding, byte-identical to encoding/json's.
+func (r BatchResponse) appendJSON(b []byte) []byte {
+	b = append(b, `{"ranges":`...)
+	if r.Ranges == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, rj := range r.Ranges {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = rj.appendJSON(b)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"epoch":`...)
+	b = strconv.AppendUint(b, r.Epoch, 10)
+	b = append(b, `,"precisions":`...)
+	if r.Precisions == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, p := range r.Precisions {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendString(b, p)
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}')
+}
+
+// appendString appends s as a JSON string. The precision tags it writes are
+// plain identifiers; a string that needs any escape goes through
+// encoding/json, so the bytes always match its HTML-escaping output.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			raw, _ := json.Marshal(s)
+			return append(b, raw...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // tierSpecOf parses a request's precision/max_width pair into the engine's

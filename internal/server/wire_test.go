@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"testing"
 
 	"pcbound/internal/core"
@@ -159,5 +161,67 @@ func TestRequestWireRoundTrip(t *testing.T) {
 	}
 	if rback.ID != 7 || rback.Constraint.KHi != 9 {
 		t.Fatalf("replace request round trip: %+v", rback)
+	}
+}
+
+// TestAppendJSONMatchesEncodingJSON pins the read answers' hand-written
+// encoding to encoding/json's bytes (plus the newline json.Encoder ends a
+// value with) over random ranges: non-finite, signed-zero, subnormal and
+// exponent-threshold endpoints, every omitempty flag, nil and empty
+// slices, and precision strings that need escaping.
+func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	specials := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		5e-324, 1e-7, 1e-6, 9.999999999999999e-7, 1e20, 1e21, 123456789e13,
+		-1e-7, -1e21, 129.99, 1.7976931348623157e+308, 0.1, 3,
+	}
+	num := func() Num {
+		switch rng.Intn(3) {
+		case 0:
+			return Num(specials[rng.Intn(len(specials))])
+		case 1:
+			return Num(math.Float64frombits(rng.Uint64()))
+		}
+		return Num((rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(60)-30)))
+	}
+	precisions := []string{"exact", "summary", "", "a<b", "b>a", "x&y", "quote\"back\\slash", "tab\tnl\n", "ünï", "\x7f", string([]byte{0xff, 'x'}), " "}
+	rangeOf := func() RangeJSON {
+		rj := RangeJSON{Lo: num(), Hi: num(), LoExact: rng.Intn(2) == 0, HiExact: rng.Intn(2) == 0,
+			MaybeEmpty: rng.Intn(2) == 0, Reconciled: rng.Intn(2) == 0}
+		if rng.Intn(2) == 0 {
+			rj.Cells = rng.Intn(1<<20) - 1<<19
+		}
+		if rng.Intn(2) == 0 {
+			rj.SATChecks = rng.Int63() - 1<<62
+		}
+		return rj
+	}
+	check := func(v appender) {
+		t.Helper()
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		if got := append(v.appendJSON(nil), '\n'); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("appendJSON wrote\n%s\nencoding/json wrote\n%s", got, want.Bytes())
+		}
+	}
+	for trial := 0; trial < 2000; trial++ {
+		check(BoundResponse{Range: rangeOf(), Epoch: rng.Uint64(), Precision: precisions[rng.Intn(len(precisions))]})
+		var br BatchResponse
+		switch rng.Intn(4) {
+		case 0: // nil slices encode as null
+		case 1:
+			br.Ranges, br.Precisions = []RangeJSON{}, []string{}
+		default:
+			n := 1 + rng.Intn(6)
+			for i := 0; i < n; i++ {
+				br.Ranges = append(br.Ranges, rangeOf())
+				br.Precisions = append(br.Precisions, precisions[rng.Intn(len(precisions))])
+			}
+		}
+		br.Epoch = uint64(rng.Intn(1000))
+		check(br)
 	}
 }
